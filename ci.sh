@@ -34,6 +34,10 @@
 #            adaptive, and online-retuned sessions each recorded once and
 #            replayed at two worker counts; fails on any canonical-event or
 #            digest divergence
+#   --perf-smoke
+#            the benchmark's own tests (perfbench/, release) plus one short
+#            untraced fine_grain run; fails unless the run's result line
+#            reports "correct": true
 #
 # The --loom/--miri/--tsan stages are separate entry points because each
 # rebuilds the world under a different configuration; run them when
@@ -202,9 +206,24 @@ if [[ "$stage" == "--replay-smoke" ]]; then
     exit 0
 fi
 
+if [[ "$stage" == "--perf-smoke" ]]; then
+    echo "== perf smoke (perfbench tests + a 2 s fine_grain run that must be correct)"
+    (cd perfbench && cargo test --release --offline -q)
+    result=$(cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload fine_grain --seed 1 --seconds 2 --trace 0 | tail -n 1)
+    echo "$result"
+    if [[ "$result" != *'"correct": true'* ]]; then
+        echo "error: fine_grain run did not report \"correct\": true" >&2
+        exit 1
+    fi
+    echo "perf smoke OK"
+    exit 0
+fi
+
 if [[ -n "$stage" ]]; then
     echo "error: unknown stage '$stage' (expected --loom, --miri, --tsan," \
-         "--bench-gate, --serve-smoke, --dag-smoke, or --replay-smoke)" >&2
+         "--bench-gate, --serve-smoke, --dag-smoke, --replay-smoke, or" \
+         "--perf-smoke)" >&2
     exit 2
 fi
 

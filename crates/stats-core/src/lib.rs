@@ -105,6 +105,11 @@ pub use protocol::{
     SpecConfig, SpecReport, SpecTrace, TraceNode, TraceNodeKind,
 };
 pub use replay::{replay, ReplayError, ReplayOutcome, SessionLog, SessionRecorder};
+/// The coordinator-thread cache behind `StateDependence::start` and
+/// `Session::new`, exported only to the model checker so its handoff can
+/// be checked on a cache instance created inside a model.
+#[cfg(loom)]
+pub use runtime::CoordinatorCache;
 pub use runtime::{SpecOutcome, StateDependence};
 pub use sdi::{ExactState, SpecState, StateTransition};
 pub use serve::{

@@ -164,7 +164,8 @@ impl ThreadPool {
     /// Run a batch of jobs and wait for all of them to complete.
     ///
     /// Jobs receive their index. Panics in jobs are contained per-worker and
-    /// surface as a panic here once the scope completes accounting.
+    /// surface as a panic here once the scope completes accounting; its
+    /// message carries the first job panic's message.
     pub fn scope<F>(&self, jobs: Vec<F>)
     where
         F: FnOnce(usize) + Send + 'static,
@@ -174,7 +175,8 @@ impl ThreadPool {
             return;
         }
         let jobs_before = self.shared.counters.jobs.load(Ordering::Acquire);
-        let done = Arc::new((Mutex::new(0usize), Condvar::new()));
+        // (jobs finished, message of the first job panic)
+        let done = Arc::new((Mutex::new((0usize, None::<String>)), Condvar::new()));
         let panicked = Arc::new(AtomicUsize::new(0));
         for (i, job) in jobs.into_iter().enumerate() {
             let done = Arc::clone(&done);
@@ -183,11 +185,12 @@ impl ThreadPool {
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     job(i);
                 }));
-                if result.is_err() {
+                let message = result.as_ref().err().map(|p| panic_message(&**p));
+                if message.is_some() {
                     // Ordering: Relaxed suffices. This increment is
                     // sequenced before the `done` lock/increment below, and
                     // the scope's read is sequenced after it observes
-                    // `count == total` under the same mutex — the mutex
+                    // `done.0 == total` under the same mutex — the mutex
                     // release/acquire edge orders every increment before the
                     // read (docs/concurrency.md; pinned by the loom model
                     // `pool_scope_routes_job_panics`, which fails if the
@@ -195,15 +198,18 @@ impl ThreadPool {
                     panicked.fetch_add(1, Ordering::Relaxed);
                 }
                 let (lock, cvar) = &*done;
-                let mut count = lock.lock();
-                *count += 1;
+                let mut done = lock.lock();
+                done.0 += 1;
+                if done.1.is_none() {
+                    done.1 = message;
+                }
                 cvar.notify_all();
             });
         }
         let (lock, cvar) = &*done;
-        let mut count = lock.lock();
-        while *count < total {
-            cvar.wait(&mut count);
+        let mut done = lock.lock();
+        while done.0 < total {
+            cvar.wait(&mut done);
         }
         // Workers bump the observability counters just *after* a job's
         // completion signal fires, so settle until this batch's increments
@@ -220,7 +226,11 @@ impl ThreadPool {
         // (was SeqCst before the 2026-08 audit — over-synchronized, since
         // the mutex already provides the needed edge).
         let panics = panicked.load(Ordering::Relaxed);
-        assert!(panics == 0, "{panics} job(s) panicked in ThreadPool::scope");
+        assert!(
+            panics == 0,
+            "{panics} job(s) panicked in ThreadPool::scope: {}",
+            done.1.as_deref().unwrap_or_default()
+        );
     }
 
     /// Apply `f` to every item concurrently, returning results in item order.
@@ -386,6 +396,57 @@ impl Drop for ThreadPool {
             let _ = handle.join();
         }
     }
+}
+
+/// Best-effort human-readable text from a panic payload.
+///
+/// `panic!("...")` payloads are `&str`/`String` and pass through verbatim.
+/// `panic_any(value)` payloads are typed: `dyn Any` erases the concrete
+/// type *name*, so this downcasts the payload shapes tenant transitions
+/// actually throw (error trait objects and `Display`-able scalars), naming
+/// each via `type_name` and rendering its value. Anything else falls back
+/// to the payload's `TypeId` — opaque, but a stable correlator across a
+/// server log, unlike the old blanket "non-string panic payload".
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        return (*s).to_string();
+    }
+    if let Some(s) = payload.downcast_ref::<String>() {
+        return s.clone();
+    }
+    macro_rules! typed {
+        ($($ty:ty),+ $(,)?) => {
+            $(if let Some(v) = payload.downcast_ref::<$ty>() {
+                return format!(
+                    "typed panic payload {}: {v}",
+                    std::any::type_name::<$ty>()
+                );
+            })+
+        };
+    }
+    typed!(
+        Box<dyn std::error::Error + Send + Sync>,
+        Box<dyn std::error::Error + Send>,
+        std::io::Error,
+        std::borrow::Cow<'static, str>,
+        i8,
+        i16,
+        i32,
+        i64,
+        i128,
+        isize,
+        u8,
+        u16,
+        u32,
+        u64,
+        u128,
+        usize,
+        f32,
+        f64,
+        bool,
+        char,
+    );
+    format!("non-string panic payload ({:?})", payload.type_id())
 }
 
 #[cfg(test)]

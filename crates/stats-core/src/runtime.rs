@@ -1,16 +1,23 @@
 //! The user-facing runtime object: `StateDependence` (paper Figure 9).
 //!
-//! `StateDependence::start()` begins the §3.1 execution model in parallel
-//! with the invoking thread, running groups of invocations concurrently on a
-//! shared [`ThreadPool`]; `join()` waits until all inputs are correctly
-//! processed and returns the committed outputs. All knobs (pool, sink,
-//! seed, config, segmenting) come from one [`RunOptions`] value — the same
-//! options type the streaming [`Session`](crate::Session) consumes.
+//! `StateDependence::run()` executes the §3.1 execution model on the
+//! calling thread, fanning groups of invocations out to a shared
+//! [`ThreadPool`]. `start()` instead runs the same coordinator on a
+//! parked thread from a process-wide cache — spawning one only when none is
+//! idle — in parallel with the invoking thread; `join()` waits until all
+//! inputs are correctly processed and returns the committed outputs. All
+//! knobs (pool, sink, seed, config, segmenting) come from one
+//! [`RunOptions`] value — the same options type the streaming
+//! [`Session`](crate::Session) consumes, whose coordinator comes from the
+//! same cache.
 //!
 //! Because every invocation's PRVG stream is derived from coordinates (run
 //! seed, group, index, attempt), the parallel execution is *reproducible*
 //! and byte-identical to the sequential reference
 //! [`run_protocol`](crate::run_protocol) — a property the test suite checks.
+
+use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
 
 use crate::sync::{thread, Arc, Condvar, Mutex};
 
@@ -89,7 +96,7 @@ struct Shared<T: StateTransition> {
 /// ```
 pub struct StateDependence<T: StateTransition> {
     shared: Option<Arc<Shared<T>>>,
-    handle: Option<thread::JoinHandle<ProtocolResult<T>>>,
+    handle: Option<CoordinatorHandle<ProtocolResult<T>>>,
 }
 
 impl<T: StateTransition> StateDependence<T> {
@@ -122,39 +129,55 @@ impl<T: StateTransition> StateDependence<T> {
         self.map_options(|o| *o = options)
     }
 
-    /// Run to completion and return the outcome. Equivalent to `start()`
-    /// followed by `join()`; the seed comes from [`RunOptions::seed`].
+    /// Run to completion on the calling thread and return the outcome.
+    /// Same result as `start()` followed by `join()`, without handing the
+    /// coordinator to another thread; the seed comes from
+    /// [`RunOptions::seed`].
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of the transition (a pool job's panic surfaces as
+    /// the [`ThreadPool::scope`] panic, which carries its message), and
+    /// panics if `start()` was already called.
     pub fn run(mut self) -> SpecOutcome<T> {
-        self.start();
-        self.join()
+        assert!(self.handle.is_none(), "run() called after start()");
+        let shared = self.shared.take().expect("not consumed");
+        let pool = resolve_pool(&shared.options);
+        run_pooled(&shared, &pool).into()
     }
 
-    /// Begin the execution model in parallel with the invoking thread.
+    /// Begin the execution model in parallel with the invoking thread, on
+    /// a parked coordinator thread (one is spawned only when none is
+    /// idle).
     ///
     /// # Panics
     ///
     /// Panics if called twice.
     pub fn start(&mut self) {
+        with_coordinators(|cache| self.start_on(cache));
+    }
+
+    /// [`start`](StateDependence::start) with the coordinator taken from
+    /// `cache` instead of the process-wide one.
+    pub(crate) fn start_on(&mut self, cache: &CoordinatorCache) {
         assert!(self.handle.is_none(), "start() called twice");
         let shared = Arc::clone(self.shared.as_ref().expect("not consumed"));
         let pool = resolve_pool(&shared.options);
-        self.handle = Some(
-            thread::Builder::new()
-                .name("stats-coordinator".into())
-                .spawn(move || run_pooled(&shared, &pool))
-                .expect("failed to spawn coordinator"),
-        );
+        self.handle = Some(cache.spawn(move || run_pooled(&shared, &pool)));
     }
 
     /// Wait until all inputs are correctly processed and return the outcome.
     ///
     /// # Panics
     ///
-    /// Panics if `start()` was not called first.
+    /// Panics if `start()` was not called first, and re-raises a panic of
+    /// the coordinator with its original payload.
     pub fn join(mut self) -> SpecOutcome<T> {
         let handle = self.handle.take().expect("join() requires start()");
-        let result = handle.join().expect("coordinator panicked");
-        result.into()
+        match handle.join() {
+            Ok(result) => result.into(),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
     }
 }
 
@@ -166,11 +189,11 @@ pub(crate) fn resolve_pool(options: &RunOptions) -> Arc<ThreadPool> {
         .unwrap_or_else(|| Arc::new(ThreadPool::new(thread::available_parallelism())))
 }
 
-/// Dropping a started-but-not-joined dependence must not leak a detached
-/// `stats-coordinator` thread (it would keep running — and keep pool slots
-/// busy — with nobody to observe it) nor swallow its panics: the handle is
-/// joined here, and a coordinator panic is re-raised unless the drop is
-/// itself part of a panic unwind (re-raising then would abort the process).
+/// Dropping a started-but-not-joined dependence must not leave its
+/// coordinator running unobserved (it would keep pool slots busy with
+/// nobody to collect the result) nor swallow its panics: the coordinator
+/// is waited for here, and its panic is re-raised unless the drop is itself
+/// part of a panic unwind (re-raising then would abort the process).
 impl<T: StateTransition> Drop for StateDependence<T> {
     fn drop(&mut self) {
         if let Some(handle) = self.handle.take() {
@@ -179,6 +202,188 @@ impl<T: StateTransition> Drop for StateDependence<T> {
                     std::panic::resume_unwind(payload);
                 }
             }
+        }
+    }
+}
+
+/// How many coordinator threads the process-wide cache keeps parked; a
+/// thread finishing its job while this many are already idle exits instead.
+#[cfg_attr(loom, allow(dead_code))]
+const MAX_IDLE_COORDINATORS: usize = 4;
+
+/// Run `f` with the process-wide coordinator cache behind `start()` and
+/// `Session::new`.
+///
+/// Under the model checker a process-wide cache would outlive the model
+/// that created its threads, so there every call gets a fresh cache that
+/// parks nothing: the job runs on its own thread, which exits after it.
+pub(crate) fn with_coordinators<R>(f: impl FnOnce(&CoordinatorCache) -> R) -> R {
+    #[cfg(not(loom))]
+    {
+        static CACHE: std::sync::OnceLock<CoordinatorCache> = std::sync::OnceLock::new();
+        f(CACHE.get_or_init(|| CoordinatorCache::new(MAX_IDLE_COORDINATORS)))
+    }
+    #[cfg(loom)]
+    {
+        f(&CoordinatorCache::new(0))
+    }
+}
+
+/// A job handed to a coordinator thread. It runs the user closure and
+/// returns the step that delivers the result to the waiting
+/// [`CoordinatorHandle`]; the thread parks again *between* the two, so once
+/// `join` returns, the thread is already idle and the next job reuses it.
+type CoordinatorJob = Box<dyn FnOnce() -> Box<dyn FnOnce() + Send> + Send>;
+
+/// Coordinator threads parked for reuse, so starting a run or opening a
+/// [`Session`](crate::Session) costs a handoff instead of an OS thread
+/// spawn.
+///
+/// [`spawn`](CoordinatorCache::spawn) hands its closure to a parked thread
+/// when one is idle and spawns a `stats-coordinator` thread only when none
+/// is. After a job the thread parks again, unless `max_idle` threads are
+/// already parked, in which case it exits. Dropping the cache wakes every
+/// parked thread and lets it exit.
+pub struct CoordinatorCache {
+    inner: Arc<CacheInner>,
+}
+
+struct CacheInner {
+    state: Mutex<CacheState>,
+    /// Signaled when a job is handed to the parked threads, or on drop.
+    wake: Condvar,
+    max_idle: usize,
+}
+
+struct CacheState {
+    /// Parked (or parking) threads not yet claimed by a handed-off job.
+    idle: usize,
+    /// Jobs claimed for a parked thread and not yet picked up by one.
+    jobs: VecDeque<CoordinatorJob>,
+    /// Set on drop: parked threads exit once `jobs` is empty.
+    shutdown: bool,
+}
+
+impl CoordinatorCache {
+    /// An empty cache that keeps at most `max_idle` threads parked.
+    pub fn new(max_idle: usize) -> Self {
+        CoordinatorCache {
+            inner: Arc::new(CacheInner {
+                state: Mutex::new(CacheState {
+                    idle: 0,
+                    jobs: VecDeque::new(),
+                    shutdown: false,
+                }),
+                wake: Condvar::new(),
+                max_idle,
+            }),
+        }
+    }
+
+    /// Run `f` on a coordinator thread: a parked one when one is idle,
+    /// otherwise a newly spawned one. A panic in `f` is caught and handed
+    /// to [`CoordinatorHandle::join`]; the thread survives it. `f`'s
+    /// captures are dropped before its result is delivered.
+    pub fn spawn<R, F>(&self, f: F) -> CoordinatorHandle<R>
+    where
+        R: Send + 'static,
+        F: FnOnce() -> R + Send + 'static,
+    {
+        let slot = Arc::new(OneShot {
+            value: Mutex::new(None),
+            ready: Condvar::new(),
+        });
+        let tx = Arc::clone(&slot);
+        let job: CoordinatorJob = Box::new(move || {
+            let result = std::panic::catch_unwind(AssertUnwindSafe(f));
+            Box::new(move || tx.put(result))
+        });
+        let mut state = self.inner.state.lock();
+        if state.idle > 0 {
+            state.idle -= 1;
+            state.jobs.push_back(job);
+            drop(state);
+            self.inner.wake.notify_one();
+        } else {
+            drop(state);
+            let cache = Arc::clone(&self.inner);
+            // Detached on purpose: the thread outlives this job, and every
+            // job's panic is caught above and handed to its handle.
+            thread::Builder::new()
+                .name("stats-coordinator".into())
+                .spawn(move || coordinator_main(&cache, job))
+                .expect("failed to spawn coordinator");
+        }
+        CoordinatorHandle { slot }
+    }
+}
+
+impl Drop for CoordinatorCache {
+    fn drop(&mut self) {
+        self.inner.state.lock().shutdown = true;
+        self.inner.wake.notify_all();
+    }
+}
+
+/// A coordinator thread's life: run a job, park (or exit when enough
+/// threads are idle), deliver the job's result, then wait for the next.
+fn coordinator_main(cache: &CacheInner, mut job: CoordinatorJob) {
+    loop {
+        let deliver = job();
+        let park = {
+            let mut state = cache.state.lock();
+            let park = !state.shutdown && state.idle < cache.max_idle;
+            if park {
+                state.idle += 1;
+            }
+            park
+        };
+        deliver();
+        if !park {
+            return;
+        }
+        let mut state = cache.state.lock();
+        job = loop {
+            if let Some(next) = state.jobs.pop_front() {
+                break next;
+            }
+            if state.shutdown {
+                state.idle -= 1;
+                return;
+            }
+            cache.wake.wait(&mut state);
+        };
+    }
+}
+
+/// One-shot result slot between a coordinator job and its handle.
+struct OneShot<R> {
+    value: Mutex<Option<thread::Result<R>>>,
+    ready: Condvar,
+}
+
+impl<R> OneShot<R> {
+    fn put(&self, result: thread::Result<R>) {
+        *self.value.lock() = Some(result);
+        self.ready.notify_all();
+    }
+}
+
+/// Owned handle to a job running on a [`CoordinatorCache`] thread.
+pub struct CoordinatorHandle<R> {
+    slot: Arc<OneShot<R>>,
+}
+
+impl<R> CoordinatorHandle<R> {
+    /// Wait for the job and take its result; `Err` carries the payload of
+    /// a panic in the job.
+    pub fn join(self) -> thread::Result<R> {
+        let mut value = self.slot.value.lock();
+        loop {
+            if let Some(result) = value.take() {
+                return result;
+            }
+            self.slot.ready.wait(&mut value);
         }
     }
 }
@@ -596,6 +801,107 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e.kind, EventKind::RunStart { inputs: 24, .. })));
+    }
+
+    #[test]
+    #[should_panic(expected = "transition exploded")]
+    fn run_reraises_transition_panic() {
+        StateDependence::new(vec![1.0, 2.0, 3.0], Noisy(0.0), Exploding)
+            .with_options(pooled_options(1, 0))
+            .run();
+    }
+
+    #[test]
+    #[should_panic(expected = "transition exploded")]
+    fn join_reraises_transition_panic() {
+        let mut dep = StateDependence::new(vec![1.0, 2.0, 3.0], Noisy(0.0), Exploding)
+            .with_options(pooled_options(1, 0));
+        dep.start();
+        dep.join();
+    }
+
+    /// Records the thread every `RunStart`/`RunEnd` was emitted on.
+    #[derive(Default)]
+    struct RunThreads(Mutex<Vec<std::thread::ThreadId>>);
+    impl crate::obs::EventSink for RunThreads {
+        fn enabled(&self) -> bool {
+            true
+        }
+        fn emit(&self, kind: crate::obs::EventKind) {
+            use crate::obs::EventKind;
+            if matches!(kind, EventKind::RunStart { .. } | EventKind::RunEnd) {
+                self.0.lock().push(std::thread::current().id());
+            }
+        }
+    }
+
+    impl RunThreads {
+        /// The single thread all recorded run events came from.
+        fn only(&self) -> std::thread::ThreadId {
+            let ids = self.0.lock();
+            assert!(!ids.is_empty(), "no run events recorded");
+            assert!(
+                ids.iter().all(|id| *id == ids[0]),
+                "run events on several threads"
+            );
+            ids[0]
+        }
+    }
+
+    fn recorded_options(sink: &Arc<RunThreads>) -> RunOptions {
+        pooled_options(2, 3).sink(Arc::clone(sink) as Arc<dyn crate::obs::EventSink>)
+    }
+
+    #[test]
+    fn run_executes_on_the_calling_thread() {
+        let sink = Arc::new(RunThreads::default());
+        let outcome = StateDependence::new((0..16).map(f64::from).collect(), Noisy(0.0), NoisyLast)
+            .with_options(recorded_options(&sink))
+            .run();
+        assert_eq!(outcome.outputs.len(), 16);
+        assert_eq!(sink.0.lock().len(), 2, "one RunStart and one RunEnd");
+        assert_eq!(sink.only(), std::thread::current().id());
+    }
+
+    #[test]
+    fn sessions_and_starts_reuse_one_parked_coordinator() {
+        let cache = CoordinatorCache::new(MAX_IDLE_COORDINATORS);
+        let inputs: Vec<f64> = (0..16).map(f64::from).collect();
+        let mut threads = Vec::new();
+        for _ in 0..2 {
+            let sink = Arc::new(RunThreads::default());
+            let session =
+                crate::Session::open_on(&cache, Noisy(0.0), NoisyLast, recorded_options(&sink));
+            session.push_batch(inputs.clone());
+            assert_eq!(session.finish().outputs.len(), 16);
+            threads.push(sink.only());
+        }
+        let sink = Arc::new(RunThreads::default());
+        let mut dep = StateDependence::new(inputs, Noisy(0.0), NoisyLast)
+            .with_options(recorded_options(&sink));
+        dep.start_on(&cache);
+        assert_eq!(dep.join().outputs.len(), 16);
+        threads.push(sink.only());
+        assert_ne!(threads[0], std::thread::current().id());
+        assert_eq!(
+            threads,
+            vec![threads[0]; 3],
+            "coordinator thread not reused"
+        );
+    }
+
+    #[test]
+    fn coordinator_survives_a_panicking_job() {
+        let cache = CoordinatorCache::new(1);
+        let first = cache.spawn(|| std::thread::current().id());
+        let first = first.join().expect("no panic");
+        let payload = cache
+            .spawn::<(), _>(|| panic!("job exploded"))
+            .join()
+            .expect_err("the panic reaches join");
+        assert_eq!(crate::pool::panic_message(&*payload), "job exploded");
+        let last = cache.spawn(|| std::thread::current().id());
+        assert_eq!(last.join().expect("no panic"), first, "thread not reused");
     }
 
     #[test]

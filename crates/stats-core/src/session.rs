@@ -5,11 +5,13 @@
 //! A `Session` keeps one [`ThreadPool`], one [`EventSink`], and one tuned
 //! [`SpecConfig`] alive across an entire input stream instead of paying for
 //! them per call. Producers `push`/`push_batch` into a bounded queue
-//! (backpressure: a full queue blocks the producer); a dedicated
-//! `stats-stream` coordinator thread forms speculation groups on the fly,
-//! runs group 0 inline while dispatching later groups to the pool, and
-//! overlaps validation + commit of group `k` with the auxiliary + original
-//! execution of later groups already in flight.
+//! (backpressure: a full queue blocks the producer); a coordinator thread —
+//! a parked one taken from the same process-wide cache that
+//! [`StateDependence::start`](crate::StateDependence::start) uses, spawned
+//! only when none is idle — forms speculation groups on the fly, runs
+//! group 0 inline while dispatching later groups to the pool, and overlaps
+//! validation + commit of group `k` with the auxiliary + original execution
+//! of later groups already in flight.
 //!
 //! **Determinism contract**: for the same seed and the same input order,
 //! `Session` is bit-identical — outputs, final state, [`SpecReport`], and
@@ -31,13 +33,15 @@ use crate::adapt::{AdaptiveController, RetryPolicy, SegmentStats};
 use crate::faults::{FaultKind, FaultPlan, InjectedFault};
 use crate::obs::{EventKind, EventSink};
 use crate::options::RunOptions;
-use crate::pool::{Priority, ThreadPool};
+use crate::pool::{panic_message, Priority, ThreadPool};
 use crate::protocol::{
     execute_group, run_invocation, GroupData, GroupSpec, ProtocolResult, SegmentAccumulator,
     SpecConfig, SpecReport, SpecTrace,
 };
 use crate::resolver::Resolver;
-use crate::runtime::{resolve_pool, SpecOutcome};
+use crate::runtime::{
+    resolve_pool, with_coordinators, CoordinatorCache, CoordinatorHandle, SpecOutcome,
+};
 use crate::sdi::StateTransition;
 
 /// Everything shared between producers, the coordinator, and pool jobs.
@@ -61,7 +65,7 @@ struct StreamInner<T: StateTransition> {
     /// Groups whose pool job was killed by an injected worker-panic fault;
     /// the coordinator retries them under the [`RetryPolicy`].
     lost: Vec<InjectedFault>,
-    /// Set when the coordinator thread exits (normally or by panic), so
+    /// Set when the coordinator finishes (normally or by panic), so
     /// blocked producers fail fast instead of waiting forever.
     coordinator_gone: bool,
     /// Human-readable message of the panic that killed the coordinator,
@@ -112,15 +116,27 @@ struct EngineCtx<T: StateTransition> {
 /// ```
 pub struct Session<T: StateTransition> {
     shared: Arc<StreamShared<T>>,
-    handle: Option<thread::JoinHandle<ProtocolResult<T>>>,
+    handle: Option<CoordinatorHandle<ProtocolResult<T>>>,
 }
 
 impl<T: StateTransition> Session<T> {
-    /// Open a stream from `initial` under `options`, spawning the
-    /// `stats-stream` coordinator thread. The options' pool is shared with
-    /// other sessions and dependences; without one, a private pool sized to
-    /// the machine is created and kept for the session's whole lifetime.
+    /// Open a stream from `initial` under `options`, handing its
+    /// coordinator to a parked coordinator thread (one is spawned only when
+    /// none is idle). The options' pool is shared with other sessions and
+    /// dependences; without one, a private pool sized to the machine is
+    /// created and kept for the session's whole lifetime.
     pub fn new(initial: T::State, transition: T, options: RunOptions) -> Self {
+        with_coordinators(|cache| Self::open_on(cache, initial, transition, options))
+    }
+
+    /// [`Session::new`] with the coordinator taken from `cache` instead of
+    /// the process-wide one.
+    pub(crate) fn open_on(
+        cache: &CoordinatorCache,
+        initial: T::State,
+        transition: T,
+        options: RunOptions,
+    ) -> Self {
         assert!(
             options.plan.is_none(),
             "RunOptions::plan is batch-only: a Session streams a linear input \
@@ -157,30 +173,27 @@ impl<T: StateTransition> Session<T> {
             priority: options.priority,
         });
         let thread_shared = Arc::clone(&shared);
-        let handle = thread::Builder::new()
-            .name("stats-stream".into())
-            .spawn(move || {
-                let _guard = CoordinatorGuard {
-                    shared: Arc::clone(&thread_shared),
-                };
-                match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    stream_main(&thread_shared, &ctx, &pool, &options, initial, max_inflight)
-                })) {
-                    Ok(result) => result,
-                    Err(payload) => {
-                        // Record the pending panic message *before* the
-                        // guard raises `coordinator_gone`, so a producer
-                        // failing its `try_push` can report the cause.
-                        let mut inner = thread_shared.inner.lock();
-                        if inner.gone_message.is_none() {
-                            inner.gone_message = Some(panic_message(&*payload));
-                        }
-                        drop(inner);
-                        std::panic::resume_unwind(payload);
+        let handle = cache.spawn(move || {
+            let _guard = CoordinatorGuard {
+                shared: Arc::clone(&thread_shared),
+            };
+            match std::panic::catch_unwind(AssertUnwindSafe(|| {
+                stream_main(&thread_shared, &ctx, &pool, &options, initial, max_inflight)
+            })) {
+                Ok(result) => result,
+                Err(payload) => {
+                    // Record the pending panic message *before* the guard
+                    // raises `coordinator_gone`, so a producer failing its
+                    // `try_push` can report the cause.
+                    let mut inner = thread_shared.inner.lock();
+                    if inner.gone_message.is_none() {
+                        inner.gone_message = Some(panic_message(&*payload));
                     }
+                    drop(inner);
+                    std::panic::resume_unwind(payload);
                 }
-            })
-            .expect("failed to spawn stream coordinator");
+            }
+        });
         Session {
             shared,
             handle: Some(handle),
@@ -196,7 +209,7 @@ impl<T: StateTransition> Session<T> {
     ///
     /// # Panics
     ///
-    /// Panics if the coordinator thread has terminated (which only happens
+    /// Panics if the coordinator has terminated (which only happens
     /// when a transition panicked; the payload is re-raised at `finish()`
     /// or drop).
     pub fn push(&self, input: T::Input) {
@@ -207,7 +220,7 @@ impl<T: StateTransition> Session<T> {
 
     /// Enqueue one input, blocking while the bounded queue is full
     /// (backpressure), and failing — never panicking — once the
-    /// coordinator thread has terminated. A producer already blocked on a
+    /// coordinator has terminated. A producer already blocked on a
     /// full queue when the coordinator dies is woken by the coordinator's
     /// exit guard and receives the error instead of hanging.
     ///
@@ -360,8 +373,8 @@ impl<T: StateTransition> Session<T> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum PushError {
-    /// The `stats-stream` coordinator thread has terminated, so no input
-    /// pushed from now on can ever be processed.
+    /// The session's coordinator has terminated, so no input pushed from
+    /// now on can ever be processed.
     CoordinatorGone {
         /// Message of the pending panic that killed the coordinator, when
         /// one was recorded (a transition panic); `None` when the
@@ -403,7 +416,7 @@ impl std::error::Error for PushError {}
 
 /// Why a [`Session`] failed to finish.
 pub enum SessionError {
-    /// The coordinator thread panicked (a transition panicked on the
+    /// The coordinator panicked (a transition panicked on the
     /// coordinator or a pool worker). The original payload is preserved so
     /// callers can re-raise it with `std::panic::resume_unwind`.
     Panicked {
@@ -442,61 +455,10 @@ impl fmt::Display for SessionError {
 
 impl std::error::Error for SessionError {}
 
-/// Best-effort human-readable text from a panic payload.
-///
-/// `panic!("...")` payloads are `&str`/`String` and pass through verbatim.
-/// `panic_any(value)` payloads are typed: `dyn Any` erases the concrete
-/// type *name*, so this downcasts the payload shapes tenant transitions
-/// actually throw (error trait objects and `Display`-able scalars), naming
-/// each via `type_name` and rendering its value. Anything else falls back
-/// to the payload's `TypeId` — opaque, but a stable correlator across a
-/// server log, unlike the old blanket "non-string panic payload".
-fn panic_message(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        return (*s).to_string();
-    }
-    if let Some(s) = payload.downcast_ref::<String>() {
-        return s.clone();
-    }
-    macro_rules! typed {
-        ($($ty:ty),+ $(,)?) => {
-            $(if let Some(v) = payload.downcast_ref::<$ty>() {
-                return format!(
-                    "typed panic payload {}: {v}",
-                    std::any::type_name::<$ty>()
-                );
-            })+
-        };
-    }
-    typed!(
-        Box<dyn std::error::Error + Send + Sync>,
-        Box<dyn std::error::Error + Send>,
-        std::io::Error,
-        std::borrow::Cow<'static, str>,
-        i8,
-        i16,
-        i32,
-        i64,
-        i128,
-        isize,
-        u8,
-        u16,
-        u32,
-        u64,
-        u128,
-        usize,
-        f32,
-        f64,
-        bool,
-        char,
-    );
-    format!("non-string panic payload ({:?})", payload.type_id())
-}
-
-/// Dropping a session mid-stream must drain and join cleanly — no leaked
-/// `stats-stream` coordinator thread, mirroring `StateDependence`'s
-/// Drop-join — and must not swallow transition panics: they re-raise here
-/// unless the drop is itself part of a panic unwind.
+/// Dropping a session mid-stream must drain and wait for its coordinator —
+/// none left running unobserved, mirroring `StateDependence`'s Drop-join —
+/// and must not swallow transition panics: they re-raise here unless the
+/// drop is itself part of a panic unwind.
 impl<T: StateTransition> Drop for Session<T> {
     fn drop(&mut self) {
         if let Some(handle) = self.handle.take() {
@@ -1236,8 +1198,8 @@ mod tests {
         assert_eq!(outcome.outputs.len(), 20);
     }
 
-    /// A transition holding a sentinel `Arc`: once the coordinator thread
-    /// (which owns the engine context) has terminated, the count drops.
+    /// A transition holding a sentinel `Arc`: once the coordinator job
+    /// (which owns the engine context) has finished, the count drops.
     struct SentinelLast(#[allow(dead_code)] Arc<()>);
     impl StateTransition for SentinelLast {
         type Input = f64;
@@ -1317,6 +1279,56 @@ mod tests {
             good.push_batch((0..16).map(f64::from));
             let outcome = good.finish();
             assert_eq!(outcome.outputs.len(), 16, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn healthy_session_after_a_panicked_one_matches_batch() {
+        // The panic unwinds through the coordinator job on the cached
+        // thread; the thread parks again and runs the next session, whose
+        // outcome must not carry anything over from the failed one.
+        let cache = CoordinatorCache::new(1);
+        let mut bad = Session::open_on(&cache, Noisy(0.0), Exploding, options(1));
+        bad.push_batch((0..12).map(f64::from));
+        assert!(matches!(
+            bad.try_finish(),
+            Err(SessionError::Panicked { .. })
+        ));
+        let inputs: Vec<f64> = (0..26).map(f64::from).collect();
+        let reference = run_protocol(&NoisyLast, &inputs, &Noisy(0.0), &config(), 9);
+        let good = Session::open_on(&cache, Noisy(0.0), NoisyLast, options(9));
+        good.push_batch(inputs);
+        let outcome = good.finish();
+        assert_eq!(outcome.outputs, reference.outputs);
+        assert_eq!(
+            outcome.final_state.0.to_bits(),
+            reference.final_state.0.to_bits()
+        );
+        assert_eq!(outcome.report, reference.report);
+        assert_eq!(outcome.trace, reference.trace);
+    }
+
+    #[test]
+    fn finished_session_released_its_captures_on_a_reused_coordinator() {
+        // The cached coordinator thread outlives the session, so the
+        // engine context must be dropped with the job, before `finish`
+        // returns — on a fresh thread and on a reused one alike.
+        let cache = CoordinatorCache::new(1);
+        for seed in [0u64, 1] {
+            let sentinel = Arc::new(());
+            let session = Session::open_on(
+                &cache,
+                Noisy(0.0),
+                SentinelLast(Arc::clone(&sentinel)),
+                options(seed),
+            );
+            session.push_batch((0..13).map(f64::from));
+            assert_eq!(session.finish().outputs.len(), 13);
+            assert_eq!(
+                Arc::strong_count(&sentinel),
+                1,
+                "coordinator job still holds the engine context (seed {seed})"
+            );
         }
     }
 

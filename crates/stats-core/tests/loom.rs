@@ -30,6 +30,10 @@
 //! - `session_panic_routing_try_finish` — a panic in a pool-executed
 //!   group crosses worker → coordinator → owner, and a producer blocked
 //!   on a stalled bounded queue cannot deadlock against it.
+//! - `coordinator_handoff_reuses_parked_thread` — a coordinator job's
+//!   result reaches `join` exactly once, after its captures are dropped;
+//!   a job panic reaches `join` as its payload; the next job runs on the
+//!   parked thread.
 
 #![cfg(loom)]
 
@@ -39,8 +43,8 @@ use loom::model::Builder;
 use stats_core::sync::atomic::{AtomicU64, Ordering};
 use stats_core::sync::{Arc, Mutex};
 use stats_core::{
-    ExactState, InvocationCtx, RunOptions, Session, SessionError, SpecConfig, StateTransition,
-    ThreadPool,
+    CoordinatorCache, ExactState, InvocationCtx, RunOptions, Session, SessionError, SpecConfig,
+    StateTransition, ThreadPool,
 };
 
 /// Run `f` under every schedule within `preemptions` involuntary switches.
@@ -348,5 +352,44 @@ fn pool_metrics_settle_after_repeated_scopes() {
         pool.scope(vec![|_: usize| {}]);
         pool.scope(vec![|_: usize| {}]);
         assert_eq!(pool.metrics().jobs_executed, 2, "cumulative count lost");
+    });
+}
+
+/// Coordinator handoff on a cache built inside the model (a process-wide
+/// cache would outlive it): the first job spawns the thread, delivers its
+/// result exactly once, and has dropped its captures by the time `join`
+/// returns; a panicking job hands its payload to `join` and leaves the
+/// thread alive; the third job runs on that same parked thread. Dropping
+/// the cache lets the parked thread exit, so the model terminates.
+#[test]
+fn coordinator_handoff_reuses_parked_thread() {
+    model(2, || {
+        let cache = CoordinatorCache::new(1);
+        let runs = Arc::new(AtomicU64::new(0));
+        let sentinel = Arc::new(());
+        let (job_runs, held) = (Arc::clone(&runs), Arc::clone(&sentinel));
+        let first = cache
+            .spawn(move || {
+                let _held = held;
+                job_runs.fetch_add(1, Ordering::Relaxed);
+                std::thread::current().id()
+            })
+            .join()
+            .expect("the first job does not panic");
+        assert_eq!(runs.load(Ordering::Relaxed), 1, "job ran more than once");
+        assert_eq!(Arc::strong_count(&sentinel), 1, "captures outlived join");
+
+        let payload = cache
+            .spawn::<(), _>(|| panic!("coordinator job exploded"))
+            .join()
+            .expect_err("the panic reaches join");
+        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert_eq!(msg, "coordinator job exploded", "wrong payload");
+
+        let third = cache
+            .spawn(|| std::thread::current().id())
+            .join()
+            .expect("the third job does not panic");
+        assert_eq!(third, first, "the parked coordinator was not reused");
     });
 }
