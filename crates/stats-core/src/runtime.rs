@@ -493,7 +493,9 @@ type NodeSlots<T> = Arc<(Mutex<Vec<Option<std::thread::Result<NodeRun<T>>>>>, Co
 /// runs into the [`PlanResolver`], which resolves nodes strictly in the
 /// plan's canonical topological order; dataflow nodes and post-abort
 /// recovery runs execute inline on the coordinator as their parents settle.
-/// Bit-identical to the sequential reference at any worker count.
+/// While no node run has finished, the coordinator runs queued pool jobs
+/// itself rather than parking. Bit-identical to the sequential reference
+/// at any worker count.
 fn run_plan_pooled<T: StateTransition>(
     shared: &Arc<Shared<T>>,
     pool: &Arc<ThreadPool>,
@@ -561,6 +563,7 @@ fn run_plan_pooled<T: StateTransition>(
     while remaining > 0 {
         let mut taken = Vec::new();
         {
+            let mut may_help = true;
             let mut guard = lock.lock();
             loop {
                 for (node, slot) in guard.iter_mut().enumerate() {
@@ -571,7 +574,18 @@ fn run_plan_pooled<T: StateTransition>(
                 if !taken.is_empty() {
                     break;
                 }
+                // Nothing finished: run one queued job (often one of this
+                // plan's own nodes) instead of parking, then re-check under
+                // the lock. Wait only after a re-check that found nothing
+                // queued, so a completion published meanwhile is never lost.
+                if may_help {
+                    drop(guard);
+                    may_help = pool.help_one();
+                    guard = lock.lock();
+                    continue;
+                }
                 cv.wait(&mut guard);
+                may_help = true;
             }
         }
         for (node, result) in taken {
@@ -918,5 +932,42 @@ mod tests {
         let oa = a.run();
         let ob = b.run();
         assert_eq!(oa.outputs, ob.outputs);
+    }
+
+    #[test]
+    fn run_completes_while_the_only_worker_is_held() {
+        // A gate job holds the pool's single worker, so every group of the
+        // run must be executed by the calling thread while it waits.
+        let pool = Arc::new(ThreadPool::new(1));
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        {
+            let gate = Arc::clone(&gate);
+            pool.execute(move || {
+                let _ = started_tx.send(());
+                let (lock, cvar) = &*gate;
+                let mut open = lock.lock();
+                while !*open {
+                    cvar.wait(&mut open);
+                }
+            });
+        }
+        started.recv().expect("gate job started");
+        let inputs: Vec<f64> = (0..24).map(f64::from).collect();
+        let outcome = StateDependence::new(inputs.clone(), Noisy(0.0), NoisyLast)
+            .with_options(
+                RunOptions::default()
+                    .pool(Arc::clone(&pool))
+                    .config(config())
+                    .seed(5),
+            )
+            .run();
+        let helped = pool.metrics().helped_jobs;
+        *gate.0.lock() = true;
+        gate.1.notify_all();
+        let reference = run_protocol(&NoisyLast, &inputs, &Noisy(0.0), &config(), 5);
+        assert_eq!(outcome.outputs, reference.outputs);
+        assert_eq!(outcome.report.groups.len(), 6);
+        assert_eq!(helped, outcome.report.groups.len() as u64);
     }
 }

@@ -22,6 +22,7 @@
 //! `docs/streaming.md` for lifecycle and backpressure details.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::panic::AssertUnwindSafe;
@@ -637,6 +638,8 @@ fn wait_for_input<T: StateTransition>(shared: &StreamShared<T>) -> bool {
 /// admitted inputs, execute group 0 inline on the coordinator, dispatch
 /// later groups to the pool as soon as their inputs are complete, and feed
 /// finished groups — strictly in order — into the shared [`Resolver`].
+/// With nothing to do, the coordinator runs queued pool jobs itself before
+/// it parks.
 #[allow(clippy::too_many_arguments)] // one parameter per execution-model knob
 fn stream_segment<T: StateTransition>(
     shared: &Arc<StreamShared<T>>,
@@ -692,9 +695,13 @@ fn stream_segment<T: StateTransition>(
     // Retry bookkeeping for groups lost to injected worker panics.
     let mut retries: BTreeMap<usize, u32> = BTreeMap::new();
     let mut ranges: BTreeMap<usize, (usize, usize)> = BTreeMap::new();
+    // Pool jobs dispatched whose completion (or loss) has not been taken
+    // back yet: the coordinator helps the pool only while this is non-zero.
+    let in_flight = Cell::new(0usize);
 
     let dispatch_group =
         |k: usize, start: usize, end: usize, attempt: u32, all_inputs: &[T::Input]| {
+            in_flight.set(in_flight.get() + 1);
             let w_start = start.saturating_sub(config.window);
             let slice: Vec<T::Input> = all_inputs[w_start..end].to_vec();
             let spec = GroupSpec {
@@ -729,9 +736,9 @@ fn stream_segment<T: StateTransition>(
                         return;
                     }
                 }
-                // `ThreadPool::execute` jobs are not panic-isolated (a panic
-                // kills the worker): catch here and hand the payload to the
-                // coordinator, which re-raises it on the session owner.
+                // The pool contains a job's panic but drops its payload:
+                // catch here and hand it to the coordinator, which re-raises
+                // it on the session owner.
                 let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                     execute_group(
                         &job_ctx.transition,
@@ -770,6 +777,7 @@ fn stream_segment<T: StateTransition>(
         let mut stalls: Vec<(usize, Duration)> = Vec::new();
         let mut lost: Vec<InjectedFault> = Vec::new();
         {
+            let mut may_help = true;
             let mut inner = shared.inner.lock();
             loop {
                 if let Some(payload) = inner.panic.take() {
@@ -806,12 +814,14 @@ fn stream_segment<T: StateTransition>(
                     shared.producer.notify_all();
                 }
                 if !inner.completions.is_empty() {
+                    in_flight.set(in_flight.get() - inner.completions.len());
                     for (k, data) in inner.completions.drain(..) {
                         pending.insert(k, data);
                     }
                     actionable = true;
                 }
                 if !inner.lost.is_empty() {
+                    in_flight.set(in_flight.get() - inner.lost.len());
                     lost.append(&mut inner.lost);
                     actionable = true;
                 }
@@ -822,7 +832,21 @@ fn stream_segment<T: StateTransition>(
                 if actionable {
                     break;
                 }
+                // Waiting on this stream's own groups: run one queued pool
+                // job (often one of those groups) instead of parking, then
+                // re-check under the lock. Wait only after a re-check that
+                // found nothing queued, so no notification sent meanwhile is
+                // lost. A coordinator waiting only for input does not help:
+                // it would take CPU from the pool's workers and react to its
+                // producer one job late.
+                if may_help && in_flight.get() > 0 {
+                    drop(inner);
+                    may_help = pool.help_one();
+                    inner = shared.inner.lock();
+                    continue;
+                }
                 shared.coordinator.wait(&mut inner);
+                may_help = true;
             }
         }
 

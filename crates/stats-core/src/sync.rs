@@ -1,7 +1,7 @@
 //! Synchronization facade for the speculation runtime.
 //!
 //! Every concurrency primitive `stats-core` uses — mutexes, condvars,
-//! atomics, threads, and the work-stealing deque — is imported from this
+//! atomics, threads, and the pool's job queue — is imported from this
 //! module rather than from `std`/`parking_lot`/`crossbeam` directly. A
 //! normal build re-exports the real primitives unchanged (zero cost); a
 //! build with `RUSTFLAGS="--cfg loom"` swaps in the `loom` model checker's
@@ -54,9 +54,9 @@ mod std_impl {
         }
     }
 
-    /// Work-stealing deques (crossbeam's `Injector`/`Worker`/`Stealer`).
+    /// The pool's shared FIFO job queue (crossbeam's `Injector`).
     pub mod deque {
-        pub use crossbeam::deque::{Injector, Steal, Stealer, Worker};
+        pub use crossbeam::deque::{Injector, Steal};
     }
 }
 
@@ -221,12 +221,12 @@ mod loom_impl {
         }
     }
 
-    /// Work-stealing deques re-implemented over the model mutex so every
-    /// queue operation is a scheduling point the checker can interleave
-    /// (routing the vendored crossbeam shim's internal `std::sync::Mutex`
-    /// through the model would hide those points instead).
+    /// The pool's shared FIFO job queue re-implemented over the model
+    /// mutex so every queue operation is a scheduling point the checker can
+    /// interleave (routing the vendored crossbeam shim's internal
+    /// `std::sync::Mutex` through the model would hide those points instead).
     pub mod deque {
-        use super::{Arc, Mutex};
+        use super::Mutex;
         use std::collections::VecDeque;
 
         /// Result of a steal attempt.
@@ -238,18 +238,6 @@ mod loom_impl {
             Success(T),
             /// The operation lost a race and may be retried.
             Retry,
-        }
-
-        impl<T> Steal<T> {
-            /// Whether the attempt found the queue empty.
-            pub fn is_empty(&self) -> bool {
-                matches!(self, Steal::Empty)
-            }
-
-            /// Whether a task was stolen.
-            pub fn is_success(&self) -> bool {
-                matches!(self, Steal::Success(_))
-            }
         }
 
         /// Shared FIFO injector queue (model-checked).
@@ -293,89 +281,6 @@ mod loom_impl {
                     Some(t) => Steal::Success(t),
                     None => Steal::Empty,
                 }
-            }
-
-            /// Move a batch of tasks into `dest`'s local queue and pop one.
-            pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
-                let mut q = self.q.lock();
-                let Some(first) = q.pop_front() else {
-                    return Steal::Empty;
-                };
-                let batch = q.len() / 2;
-                let mut local = dest.q.lock();
-                for _ in 0..batch {
-                    match q.pop_front() {
-                        Some(t) => local.push_back(t),
-                        None => break,
-                    }
-                }
-                Steal::Success(first)
-            }
-        }
-
-        /// A thread's local queue; the single producer-consumer end.
-        #[derive(Debug)]
-        pub struct Worker<T> {
-            q: Arc<Mutex<VecDeque<T>>>,
-        }
-
-        impl<T> Worker<T> {
-            /// New FIFO worker queue.
-            pub fn new_fifo() -> Self {
-                Self {
-                    q: Arc::new(Mutex::new(VecDeque::new())),
-                }
-            }
-
-            /// Push a task onto the local queue.
-            pub fn push(&self, task: T) {
-                self.q.lock().push_back(task);
-            }
-
-            /// Pop the next local task.
-            pub fn pop(&self) -> Option<T> {
-                self.q.lock().pop_front()
-            }
-
-            /// Whether the local queue is empty.
-            pub fn is_empty(&self) -> bool {
-                self.q.lock().is_empty()
-            }
-
-            /// A shared stealing handle onto this queue.
-            pub fn stealer(&self) -> Stealer<T> {
-                Stealer {
-                    q: Arc::clone(&self.q),
-                }
-            }
-        }
-
-        /// Shared handle that steals from the far end of a [`Worker`].
-        #[derive(Debug)]
-        pub struct Stealer<T> {
-            q: Arc<Mutex<VecDeque<T>>>,
-        }
-
-        impl<T> Clone for Stealer<T> {
-            fn clone(&self) -> Self {
-                Self {
-                    q: Arc::clone(&self.q),
-                }
-            }
-        }
-
-        impl<T> Stealer<T> {
-            /// Steal one task from the queue's far end.
-            pub fn steal(&self) -> Steal<T> {
-                match self.q.lock().pop_back() {
-                    Some(t) => Steal::Success(t),
-                    None => Steal::Empty,
-                }
-            }
-
-            /// Whether the victim queue is empty (racy hint).
-            pub fn is_empty(&self) -> bool {
-                self.q.lock().is_empty()
             }
         }
     }

@@ -16,11 +16,19 @@
 //!
 //! - `pool_scope_settle_publishes_metrics` — pins the `jobs`
 //!   Release/Acquire pair (worker increment → scope settle loop/metrics).
-//! - `pool_scope_routes_job_panics` — pins the `panicked` Relaxed counter
-//!   being ordered by the `done` mutex handshake (the SeqCst→Relaxed
-//!   downgrade of the 2026-08 audit).
+//! - `pool_scope_routes_job_panics` — pins the scope batch handshake: a
+//!   job's panic record is published to the waiting owner through the
+//!   `remaining` AcqRel countdown and the `done` mutex.
 //! - `pool_drop_completes_outstanding_work` — shutdown/drain handshake.
-//! - `pool_injector_never_loses_jobs` — injector vs. steal interleavings.
+//! - `pool_injector_never_loses_jobs` — two workers racing the shared
+//!   lanes run every job exactly once.
+//! - `pool_parked_worker_never_misses_a_job` — an `execute` racing the
+//!   worker's park always wakes it (nobody helps).
+//! - `pool_owner_help_runs_each_job_once` — the scope owner helping races
+//!   the worker: each job runs once and a job panic still fails `scope`.
+//! - `plan_coordinator_help_sees_every_completion` — the pooled DAG
+//!   completion handshake with a helping coordinator equals the
+//!   sequential plan.
 //! - `session_push_finish_matches_batch` — producer/coordinator/worker
 //!   handoff commits every input exactly once, in order.
 //! - `session_backpressure_wakeup` — a producer blocked on a full bounded
@@ -41,10 +49,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use loom::model::Builder;
 use stats_core::sync::atomic::{AtomicU64, Ordering};
-use stats_core::sync::{Arc, Mutex};
+use stats_core::sync::{Arc, Condvar, Mutex};
 use stats_core::{
-    CoordinatorCache, ExactState, InvocationCtx, RunOptions, Session, SessionError, SpecConfig,
-    StateTransition, ThreadPool,
+    run_protocol_with_options, CoordinatorCache, ExactState, InvocationCtx, RunOptions, Session,
+    SessionError, SpecConfig, SpecPlan, StateDependence, StateTransition, ThreadPool,
 };
 
 /// Run `f` under every schedule within `preemptions` involuntary switches.
@@ -132,11 +140,10 @@ fn pool_scope_settle_publishes_metrics() {
     });
 }
 
-/// Tentpole model 2 (audit regression): a job panic must surface from
-/// `scope()` in every interleaving. The `panicked` counter is Relaxed —
-/// the `done` mutex handshake is what orders it, so this model is the
-/// regression test for the SeqCst→Relaxed downgrade: remove the handshake
-/// (or read the counter before it) and an execution appears where the
+/// Tentpole model 2: a job panic must surface from `scope()` in every
+/// interleaving. The panic is recorded under the batch's `done` mutex
+/// before the job's AcqRel countdown; read the record before the batch is
+/// finished (or weaken the countdown) and an execution appears where the
 /// panic is lost.
 #[test]
 fn pool_scope_routes_job_panics() {
@@ -179,9 +186,9 @@ fn pool_drop_completes_outstanding_work() {
     });
 }
 
-/// Tentpole model 4: two workers racing the injector and each other's
-/// deques execute every submitted job exactly once (no loss, no
-/// duplication), whatever the steal interleaving.
+/// Tentpole model 4: two workers (and the helping owner) racing the shared
+/// lanes execute every submitted job exactly once (no loss, no
+/// duplication), whatever the interleaving.
 #[test]
 fn pool_injector_never_loses_jobs() {
     model(2, || {
@@ -391,5 +398,105 @@ fn coordinator_handoff_reuses_parked_thread() {
             .join()
             .expect("the third job does not panic");
         assert_eq!(third, first, "the parked coordinator was not reused");
+    });
+}
+
+/// Set once some execution of `pool_owner_help_runs_each_job_once` had the
+/// owner run a job, and once some had the worker run one: the model must
+/// explore both sides of the race, not only prove the one it happened on.
+static HELP_RACE_SIDES: std::sync::Mutex<(bool, bool)> = std::sync::Mutex::new((false, false));
+
+/// A job submitted while the only worker is between "lanes empty" and
+/// parking must still wake it. Nobody helps here — the owner blocks on its
+/// own condvar — so a lost wake-up is a model deadlock. The second round
+/// races the worker's *re*-park after its first job. Before workers parked
+/// without a timeout, a 1 ms timed wait masked exactly this race.
+#[test]
+fn pool_parked_worker_never_misses_a_job() {
+    model(2, || {
+        let pool = ThreadPool::new(1);
+        for _ in 0..2 {
+            let done = Arc::new((Mutex::new(false), Condvar::new()));
+            let signal = Arc::clone(&done);
+            pool.execute(move || {
+                *signal.0.lock() = true;
+                signal.1.notify_one();
+            });
+            let (lock, cv) = &*done;
+            let mut ran = lock.lock();
+            while !*ran {
+                cv.wait(&mut ran);
+            }
+        }
+        assert_eq!(pool.metrics().helped_jobs, 0, "nobody helps in this model");
+    });
+}
+
+/// The scope owner helps while the worker races it for the same two jobs:
+/// each job runs exactly once whoever takes it, and the second job's panic
+/// still fails `scope()` with that job's message.
+#[test]
+fn pool_owner_help_runs_each_job_once() {
+    model(2, || {
+        let pool = ThreadPool::new(1);
+        let seen = Arc::new(Mutex::new([0u32; 2]));
+        let jobs: Vec<_> = (0..2)
+            .map(|_| {
+                let seen = Arc::clone(&seen);
+                move |i: usize| {
+                    seen.lock()[i] += 1;
+                    assert!(i != 1, "job exploded");
+                }
+            })
+            .collect();
+        let err = catch_unwind(AssertUnwindSafe(|| pool.scope(jobs)))
+            .expect_err("a panicking job must fail the scope");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("job exploded"), "wrong panic: {msg}");
+        assert_eq!(*seen.lock(), [1, 1], "job lost or duplicated");
+        let m = pool.metrics();
+        assert_eq!(m.jobs_executed, 2, "a job was not counted");
+        let mut sides = HELP_RACE_SIDES.lock().unwrap();
+        sides.0 |= m.helped_jobs > 0;
+        sides.1 |= m.helped_jobs < 2;
+    });
+    let sides = *HELP_RACE_SIDES.lock().unwrap();
+    assert_eq!(
+        sides,
+        (true, true),
+        "the owner/worker race was not explored"
+    );
+}
+
+/// The pooled DAG completion handshake: a 1-input diamond on 1 worker,
+/// where the coordinator helps with its own eager node runs while the
+/// worker takes others. Whoever runs a node, the coordinator must see
+/// every completion and commit exactly the sequential plan's result.
+#[test]
+fn plan_coordinator_help_sees_every_completion() {
+    model(1, || {
+        let mut b = SpecPlan::builder();
+        let src = b.node(1);
+        let left = b.node(1);
+        let right = b.node(1);
+        let join = b.node(1);
+        b.edge(src, left)
+            .edge(src, right)
+            .edge(left, join)
+            .edge(right, join);
+        let options = RunOptions::default()
+            .config(SpecConfig {
+                window: 1,
+                ..SpecConfig::default()
+            })
+            .plan(b.build().expect("acyclic"));
+        let inputs = vec![1u64, 2, 3, 4];
+        let reference = run_protocol_with_options(&Sum, &inputs, &ExactState(0), &options);
+        let pooled = StateDependence::new(inputs, ExactState(0u64), Sum)
+            .with_options(options.pool(Arc::new(ThreadPool::new(1))))
+            .run();
+        assert_eq!(pooled.outputs, reference.outputs, "plan diverged");
+        assert_eq!(pooled.final_state.0, reference.final_state.0);
+        assert_eq!(pooled.report, reference.report);
     });
 }

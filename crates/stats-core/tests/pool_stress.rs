@@ -15,8 +15,8 @@ use std::time::Duration;
 use stats_core::sync::atomic::{AtomicUsize, Ordering};
 use stats_core::sync::Arc;
 use stats_core::{
-    ExactState, FaultPlan, FaultRule, InvocationCtx, RunOptions, Session, SpecConfig,
-    StateTransition, ThreadPool,
+    run_protocol_with_options, ExactState, FaultPlan, FaultRule, InvocationCtx, RunOptions,
+    Session, SpecConfig, SpecPlan, StateDependence, StateTransition, ThreadPool,
 };
 
 fn stress_iters() -> usize {
@@ -54,7 +54,7 @@ fn config() -> SpecConfig {
 }
 
 /// Many short scopes with skewed job costs through one shared pool: the
-/// steal path, the settle loop, and the wake condvar all stay hot. Every
+/// helping owner, the settle loop, and the wake condvar all stay hot. Every
 /// job must run exactly once per scope.
 #[test]
 fn many_short_scopes_share_one_pool() {
@@ -66,7 +66,7 @@ fn many_short_scopes_share_one_pool() {
             .map(|i| {
                 let ran = Arc::clone(&ran);
                 move |_idx: usize| {
-                    // Skew: some jobs spin a little so siblings must steal.
+                    // Skew: some jobs spin a little so the others spread out.
                     let mut acc = (round + i) as u64;
                     for _ in 0..(i % 5) * 200 {
                         acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -144,5 +144,111 @@ fn faulted_sessions_recover_under_contention() {
         let outcome = session.finish();
         assert_eq!(outcome.outputs.len(), n as usize, "round {round}");
         assert_eq!(outcome.final_state.0, n * (n + 1) / 2, "round {round}");
+    }
+}
+
+/// A diamond plan (source, two branches, join) of `per_node` inputs each.
+fn diamond(per_node: usize) -> SpecPlan {
+    let mut b = SpecPlan::builder();
+    let src = b.node(per_node);
+    let left = b.node(per_node);
+    let right = b.node(per_node);
+    let join = b.node(per_node);
+    b.edge(src, left)
+        .edge(src, right)
+        .edge(left, join)
+        .edge(right, join);
+    b.build().expect("acyclic")
+}
+
+/// Waiters that help: batch runs (whose `scope` owner helps), DAG-plan runs
+/// (whose coordinator helps) and streamed sessions (whose coordinator
+/// helps) all wait on one small pool at the same time, so each helper also
+/// runs the others' jobs. Every run must equal its sequential reference.
+/// A lost wake-up or a helping deadlock fails the test with a message
+/// instead of hanging it.
+#[test]
+fn helping_waiters_share_small_pools() {
+    let rounds = 25 * stress_iters();
+    for workers in [1usize, 2] {
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let watched = std::thread::spawn(move || {
+            let pool = Arc::new(ThreadPool::new(workers));
+            let batch_inputs: Vec<u64> = (1..=24).collect();
+            let plan = diamond(6);
+            let plan_inputs: Vec<u64> = (1..=plan.total_inputs() as u64).collect();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    for round in 0..rounds {
+                        let options = RunOptions::default().config(config()).seed(round as u64);
+                        let reference = run_protocol_with_options(
+                            &Sum,
+                            &batch_inputs,
+                            &ExactState(0),
+                            &options,
+                        );
+                        let pooled = StateDependence::new(batch_inputs.clone(), ExactState(0), Sum)
+                            .with_options(options.pool(Arc::clone(&pool)))
+                            .run();
+                        assert_eq!(pooled.outputs, reference.outputs, "batch round {round}");
+                        assert_eq!(pooled.report, reference.report, "batch round {round}");
+                    }
+                });
+                s.spawn(|| {
+                    for round in 0..rounds {
+                        let options = RunOptions::default()
+                            .config(config())
+                            .seed(round as u64)
+                            .plan(plan.clone());
+                        let reference =
+                            run_protocol_with_options(&Sum, &plan_inputs, &ExactState(0), &options);
+                        let pooled = StateDependence::new(plan_inputs.clone(), ExactState(0), Sum)
+                            .with_options(options.pool(Arc::clone(&pool)))
+                            .run();
+                        assert_eq!(pooled.outputs, reference.outputs, "plan round {round}");
+                        assert_eq!(pooled.report, reference.report, "plan round {round}");
+                    }
+                });
+                s.spawn(|| {
+                    for round in 0..rounds {
+                        let options = RunOptions::default().config(config()).seed(round as u64);
+                        let reference = run_protocol_with_options(
+                            &Sum,
+                            &batch_inputs,
+                            &ExactState(0),
+                            &options,
+                        );
+                        let session = Session::new(
+                            ExactState(0u64),
+                            Sum,
+                            options.pool(Arc::clone(&pool)).queue_capacity(4),
+                        );
+                        for &i in &batch_inputs {
+                            session.push(i);
+                        }
+                        let outcome = session.finish();
+                        assert_eq!(outcome.outputs, reference.outputs, "session round {round}");
+                    }
+                });
+            });
+            let _ = done_tx.send(pool.metrics());
+        });
+        let metrics = match done.recv_timeout(Duration::from_secs(120)) {
+            Ok(metrics) => metrics,
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!(
+                "helping waiters on a {workers}-worker pool did not finish within 120 s: \
+                 a lost wake-up or a helping deadlock"
+            ),
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                panic!("a run on the {workers}-worker pool failed (see its panic above)")
+            }
+        };
+        watched
+            .join()
+            .expect("the watched runs returned their metrics");
+        assert!(
+            metrics.jobs_executed > 0,
+            "{workers} workers: no pool jobs ran"
+        );
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Runs a benchmark's state dependence once sequentially (recording the
 //! structured event stream and the speculation trace) and once on the
-//! work-stealing pool (recording pool counters), then prints the per-group
+//! thread pool (recording pool counters), then prints the per-group
 //! timeline, the work-split table, and pool utilization.
 //!
 //! ```text
@@ -282,8 +282,8 @@ fn main() -> ExitCode {
         println!();
         println!("thread pool ({threads} workers, pooled re-run):");
         println!(
-            "  jobs executed     {:>8}    steals {:>4}    peak injector depth {}",
-            m.jobs_executed, m.steals, m.max_injector_depth
+            "  jobs executed     {:>8}    helped by waiters {:>4}    peak injector depth {}",
+            m.jobs_executed, m.helped_jobs, m.max_injector_depth
         );
         println!(
             "  busy {:?} over {:?} wall — utilization {:.1}%",
